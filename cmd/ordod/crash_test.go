@@ -324,14 +324,15 @@ func TestKillCrashRecovery(t *testing.T) {
 
 // startLeader boots ordod as a replication leader. replAddr "" picks a
 // port; the bound address is returned so a restart can reclaim it (the
-// follower keeps dialing the address it was given).
-func startLeader(t *testing.T, walDir, tag, replAddr string) (*ordodProc, string) {
+// follower keeps dialing the address it was given). Extra flags append to
+// the invocation.
+func startLeader(t *testing.T, walDir, tag, replAddr string, extra ...string) (*ordodProc, string) {
 	t.Helper()
 	if replAddr != "" {
-		return startOrdod(t, walDir, tag, "-repl-addr", replAddr), replAddr
+		return startOrdod(t, walDir, tag, append([]string{"-repl-addr", replAddr}, extra...)...), replAddr
 	}
 	raf := filepath.Join(t.TempDir(), "repl-addr")
-	p := startOrdod(t, walDir, tag, "-repl-addr", "127.0.0.1:0", "-repl-addr-file", raf)
+	p := startOrdod(t, walDir, tag, append([]string{"-repl-addr", "127.0.0.1:0", "-repl-addr-file", raf}, extra...)...)
 	// The replication listener opens before the client listener, so once
 	// startOrdod returns the address file is already written.
 	b, err := os.ReadFile(raf)
@@ -755,5 +756,38 @@ func TestReplCrashFollowerKill(t *testing.T) {
 	}
 	if strings.Contains(string(b), "from cursor (0, 0)") {
 		t.Fatalf("restarted follower resumed from (0, 0) — cursor not persisted:\n%s", b)
+	}
+}
+
+// TestReplAckBoundAloneLeader: a replication leader outside failover mode
+// with -repl-ack-bound and no follower subscribed must ack durable writes
+// OK. With nobody to promote, the replication source waives the ack gate by
+// advancing the acknowledged tail itself; a leader that never wires that
+// advance answers every write UNCERTAIN once the bound expires.
+func TestReplAckBoundAloneLeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess harness skipped in -short")
+	}
+	lead, _ := startLeader(t, t.TempDir(), "ackbound-lead", "", "-repl-ack-bound", "300ms")
+	defer func() {
+		lead.cmd.Process.Signal(syscall.SIGTERM)
+		lead.cmd.Wait()
+	}()
+	nc, err := net.Dial("tcp", lead.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	c := wire.NewConn(nc)
+	for _, req := range []*wire.Request{
+		{Op: wire.OpInsert, Key: 1, Vals: crashRow(1, 0)},
+		{Op: wire.OpPut, Key: 1, Vals: crashRow(1, 1)},
+	} {
+		r, err := c.Do(req)
+		if err != nil || r.Status != wire.StatusOK {
+			dumpLog(t, lead)
+			t.Fatalf("%v on a lone leader with -repl-ack-bound: %v %v, want OK", req.Op, r.Status, err)
+		}
 	}
 }

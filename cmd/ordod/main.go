@@ -467,7 +467,10 @@ func run(o options) error {
 			State:       replState,
 			Boundary:    boundary,
 			Spans:       spanRing,
-			Logf:        log.Printf,
+			// Without it -repl-ack-bound would gate every write on an ack
+			// that never advances.
+			AckAdvance: srv.NoteReplAck,
+			Logf:       log.Printf,
 		})
 		if err != nil {
 			return err

@@ -370,7 +370,9 @@ func preload(c *wire.Conn, records, window int) error {
 	return nil
 }
 
-// pendingOp is one in-flight request with its issue time and class.
+// pendingOp is one in-flight request with its class and the time it was
+// first sent: a CONFLICT or BUSY re-issue keeps the original time, so the
+// recorded latency covers every attempt the op took.
 type pendingOp struct {
 	req   wire.Request
 	class int
@@ -429,7 +431,9 @@ func runConn(addr string, gen *ycsb.Gen, res *workerResult,
 		if err := c.WriteRequest(&p.req); err != nil {
 			return err
 		}
-		p.sent = time.Now()
+		if p.sent.IsZero() {
+			p.sent = time.Now()
+		}
 		inFlight = append(inFlight, p)
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 	"ordo/internal/db"
 	"ordo/internal/db/ycsb"
 	"ordo/internal/server"
+	"ordo/internal/wire"
 )
 
 // startServer boots a real ordod server on an ephemeral port and returns
@@ -122,5 +123,70 @@ func TestRunReportsIntervals(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Addr: "127.0.0.1:1", Conns: 0, Window: 1, Records: 1}); err == nil {
 		t.Fatal("zero Conns accepted")
+	}
+}
+
+// TestReissueKeepsFirstSendTime: an op answered CONFLICT and re-issued is
+// timed from its first send. The fake server holds the CONFLICT answer for
+// a known delay and answers the re-issue OK at once, so the recorded
+// latency must cover the delay.
+func TestReissueKeepsFirstSendTime(t *testing.T) {
+	const delay = 150 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(nc net.Conn) {
+				defer nc.Close()
+				c := wire.NewConn(nc)
+				answered := 0
+				for {
+					req, err := c.ReadRequest()
+					if err != nil {
+						return
+					}
+					resp := wire.Response{Kind: wire.RespEmpty, Status: wire.StatusOK}
+					switch {
+					case req.Op == wire.OpStats:
+						resp = wire.Response{Kind: wire.RespStats, Status: wire.StatusOK, Stats: &wire.Stats{}}
+					case answered == 0:
+						time.Sleep(delay)
+						resp.Status = wire.StatusConflict
+					}
+					answered++
+					if c.WriteResponse(&resp) != nil || c.Flush() != nil {
+						return
+					}
+				}
+			}(nc)
+		}
+	}()
+	res, err := Run(Config{
+		Addr:        ln.Addr().String(),
+		Conns:       1,
+		Window:      1,
+		Ops:         1,
+		Records:     1,
+		Reads:       0,
+		SkipPreload: true,
+		DialFor:     5 * time.Second,
+		OpTimeout:   5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 1 || res.Conflicts != 1 {
+		t.Fatalf("done=%d conflicts=%d, want 1/1", res.Done, res.Conflicts)
+	}
+	overall := res.Overall()
+	if got := time.Duration(overall.Max()); got < delay {
+		t.Fatalf("latency %v, want ≥ %v: the re-issue restarted the op's clock", got, delay)
 	}
 }

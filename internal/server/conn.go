@@ -15,7 +15,6 @@ import (
 	"ordo/internal/db"
 	"ordo/internal/shard"
 	"ordo/internal/telemetry/span"
-	"ordo/internal/wal"
 	"ordo/internal/wire"
 )
 
@@ -50,9 +49,10 @@ type item struct {
 
 // serverConn is one connection's state: a reader goroutine that frames and
 // enqueues, and a worker goroutine that decodes, executes, responds in
-// request order, and flushes when the pipeline goes idle. The engine
-// session is touched only by the worker, matching db.Session's
-// single-goroutine contract.
+// request order, and flushes when the pipeline goes idle. The connection
+// holds no engine session and no WAL handle: every engine transaction runs
+// on a lane (lane.go), and the worker only scatters, gathers and waits for
+// durability.
 type serverConn struct {
 	srv *Server
 	nc  net.Conn
@@ -63,20 +63,6 @@ type serverConn struct {
 	br *bufio.Reader
 	bw *wire.BatchWriter
 
-	// sess is the worker's own engine session. Since the shard-lane
-	// refactor it is reserved for the paths that cannot ride a single
-	// lane: reads-only serving (follower mode, failed WAL device) and
-	// cross-shard transactions, where the worker acts as coordinator
-	// while the involved lanes are parked. Partitioned writes always go
-	// through lanes, preserving the single-writer-per-partition
-	// discipline.
-	sess db.Session
-	// wh is the worker's coordinator WAL append buffer in durable mode
-	// (nil otherwise): cross-shard transactions log their whole write-set
-	// as ONE record here, so recovery can never replay half a transfer.
-	// Only the worker touches it; closed in workLoop teardown so the slot
-	// recycles.
-	wh *wal.Handle
 	// ports is the connection's submission side to the shard lanes: one
 	// bounded SPSC ring per lane, worker-owned.
 	ports *shard.Ports
@@ -105,18 +91,16 @@ type serverConn struct {
 	// allocation-free in steady state. arena backs decoded rows and TXN
 	// sub-ops; its carvings live until the next run's Reset, which is after
 	// every response of the current run has been encoded.
-	arena     wire.Arena
-	reqs      []wire.Request
-	resps     []wire.Response
-	runBuf    []item
-	redoBuf   []byte
-	writePtrs []*wire.Request
+	arena  wire.Arena
+	reqs   []wire.Request
+	resps  []wire.Response
+	runBuf []item
 
 	// Lane-dispatch scratch, reused across runs: per-lane request/response
 	// pointer groups (the scatter), the reusable batch per lane, the
 	// submitted set of the current run (the gather), involved-lane marks
-	// for cross-shard transactions, and publication-board snapshots for
-	// the cross-shard read stability check.
+	// for transactions, and publication-board snapshots for the cross-shard
+	// read stability check.
 	greqs    [][]*wire.Request
 	gresps   [][]*wire.Response
 	used     []int
@@ -153,10 +137,6 @@ type serverConn struct {
 	// submitting connection dies after the flush — the panic containment
 	// boundary stays the connection, as in the flat design.
 	laneFatal bool
-
-	// Session-counter baselines for delta-flushing into server metrics.
-	lastCommits, lastAborts uint64
-	lastCmps, lastUncertain uint64
 }
 
 // hardCap is the absolute pending bound: past it the reader blocks rather
@@ -166,14 +146,10 @@ func (c *serverConn) hardCap() int { return 2 * c.srv.cfg.QueueDepth }
 
 func newServerConn(s *Server, nc net.Conn) *serverConn {
 	c := &serverConn{
-		srv:  s,
-		nc:   nc,
-		br:   bufio.NewReaderSize(nc, 64<<10),
-		bw:   wire.NewBatchWriter(nc),
-		sess: s.cfg.DB.NewSession(),
-	}
-	if s.gc != nil {
-		c.wh = s.gc.log.NewHandle()
+		srv: s,
+		nc:  nc,
+		br:  bufio.NewReaderSize(nc, 64<<10),
+		bw:  wire.NewBatchWriter(nc),
 	}
 	if s.cfg.Telemetry != nil {
 		c.tel = s.cfg.Telemetry.newConnShards()
@@ -231,8 +207,8 @@ func (c *serverConn) armReadDeadline() {
 }
 
 // armWriteDeadline arms the worker's deadline before a response write or
-// flush, so a client that stopped reading cannot park the worker (and its
-// engine session) on a full send buffer forever.
+// flush, so a client that stopped reading cannot park the worker on a
+// full send buffer forever.
 func (c *serverConn) armWriteDeadline() {
 	if d := c.srv.cfg.WriteTimeout; d > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(d))
@@ -371,11 +347,10 @@ func (c *serverConn) enqueue(it item) {
 }
 
 // workLoop pops runs of work, executes them, writes responses in order,
-// and flushes whenever the queue goes idle. It owns the write side and the
-// engine session exclusively.
+// and flushes whenever the queue goes idle. It owns the write side
+// exclusively.
 func (c *serverConn) workLoop() {
 	defer c.nc.Close()
-	defer c.closeWAL()
 	defer c.tel.close()
 	defer c.ports.Close()
 	for {
@@ -389,7 +364,6 @@ func (c *serverConn) workLoop() {
 			// responses and finish.
 			c.armWriteDeadline()
 			c.bw.Flush()
-			c.flushSessionStats()
 			return
 		}
 		run, last := c.popRun()
@@ -423,10 +397,8 @@ func (c *serverConn) workLoop() {
 		if err != nil {
 			c.noteWriteError(err)
 			c.abortReader()
-			c.flushSessionStats()
 			return
 		}
-		c.flushSessionStats()
 		if c.protoFatal || c.laneFatal {
 			// A worker-detected decode error or a lane panic on this
 			// connection's batch: the reader may still be pumping frames, so
@@ -530,21 +502,6 @@ func (c *serverConn) abortReader() {
 	c.nc.SetReadDeadline(time.Now())
 	c.mu.Unlock()
 	c.cond.Broadcast()
-}
-
-// flushSessionStats adds the session's counter deltas to server metrics.
-// Only the worker calls it, so the plain session counters stay race-free.
-func (c *serverConn) flushSessionStats() {
-	commits, aborts := c.sess.Stats()
-	c.srv.m.commits.Add(commits - c.lastCommits)
-	c.srv.m.aborts.Add(aborts - c.lastAborts)
-	c.lastCommits, c.lastAborts = commits, aborts
-	if ch, ok := c.sess.(db.ClockHealth); ok {
-		cmps, unc := ch.ClockStats()
-		c.srv.m.clockCmps.Add(cmps - c.lastCmps)
-		c.srv.m.clockUncertain.Add(unc - c.lastUncertain)
-		c.lastCmps, c.lastUncertain = cmps, unc
-	}
 }
 
 // beginRunSpans starts one run's speculative span capture: reset the
@@ -747,7 +704,7 @@ func (c *serverConn) countOps(reqs []wire.Request, resps []wire.Response) {
 // session (the batching that amortizes timestamp allocation, now also
 // across connections), and the worker gathers completions before writing
 // responses in request order. Commit/degrade semantics live in the lane
-// runner (lane.go) and are unchanged from the flat design.
+// runner (lane.go).
 //
 // In durable mode each lane appends its slice's acked write-set as one
 // redo record without blocking; the worker here performs the run's single
@@ -757,20 +714,26 @@ func (c *serverConn) countOps(reqs []wire.Request, resps []wire.Response) {
 // acked writes to ERR, so the client never sees an acknowledgment the log
 // cannot honor.
 //
+// A server that cannot take writes (a follower, or a leader whose WAL
+// device failed) answers the run's writes in place without touching the
+// engine and scatters only its reads.
+//
 // The returned responses are backed by worker scratch and valid until the
 // next run.
 func (c *serverConn) execBatch(reqs []wire.Request) []wire.Response {
-	if c.srv.ReadOnly() && runHasWrites(reqs) {
-		// Follower mode: the replication apply loop is the engine's only
-		// writer; client writes never touch the engine. Not counted as
-		// degraded — this is the configured serving mode, not a failure.
-		return c.execReadsOnly(reqs, false)
-	}
-	if gc := c.srv.gc; gc != nil && gc.failed() != nil && runHasWrites(reqs) {
-		return c.execReadsOnly(reqs, true)
-	}
 	resps := c.scratchResps(len(reqs))
-	c.scatter(reqs, resps)
+	readsOnly := false
+	if runHasWrites(reqs) {
+		if refusal, refused := c.writeRefusal(); refused {
+			readsOnly = true
+			for i := range reqs {
+				if !isRead(reqs[i].Op) {
+					resps[i] = refusal
+				}
+			}
+		}
+	}
+	c.scatter(reqs, resps, readsOnly)
 	c.submitGroups(shard.Ops)
 	maxSeq := c.gather()
 	c.waitDurable(reqs, resps, maxSeq)
@@ -778,10 +741,33 @@ func (c *serverConn) execBatch(reqs []wire.Request) []wire.Response {
 	return resps
 }
 
+// writeRefusal reports whether mutating ops are refused right now and, if
+// so, the answer each one gets. A follower — configured reads-only
+// serving, where the replication apply loop is the engine's only writer —
+// refuses with NOT_LEADER carrying the believed leader's address so a
+// resilient client can chase the redirect (plain ERR when no failover
+// scoreboard names a leader). A leader whose WAL device failed refuses
+// with ERR and counts the run as degraded.
+func (c *serverConn) writeRefusal() (wire.Response, bool) {
+	srv := c.srv
+	if srv.ReadOnly() {
+		if st := srv.cfg.Repl; st != nil && st.Role() == RoleFollower {
+			return wire.Response{Kind: wire.RespEmpty, Status: wire.StatusNotLeader, Redirect: st.LeaderAddr()}, true
+		}
+		return wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}, true
+	}
+	if srv.Degraded() {
+		srv.m.degraded.Add(1)
+		return wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}, true
+	}
+	return wire.Response{}, false
+}
+
 // scatter partitions a run into per-lane request/response pointer groups,
-// resetting the previous run's groups first. Group slices are conn scratch
-// so the steady-state path allocates nothing.
-func (c *serverConn) scatter(reqs []wire.Request, resps []wire.Response) {
+// resetting the previous run's groups first; readsOnly leaves every
+// non-read out. Group slices are conn scratch so the steady-state path
+// allocates nothing.
+func (c *serverConn) scatter(reqs []wire.Request, resps []wire.Response, readsOnly bool) {
 	for _, ln := range c.used {
 		c.greqs[ln] = c.greqs[ln][:0]
 		c.gresps[ln] = c.gresps[ln][:0]
@@ -789,6 +775,9 @@ func (c *serverConn) scatter(reqs []wire.Request, resps []wire.Response) {
 	c.used = c.used[:0]
 	lanes := c.srv.lanes
 	for i := range reqs {
+		if readsOnly && !isRead(reqs[i].Op) {
+			continue
+		}
 		ln := lanes.Route(reqs[i].Key)
 		if len(c.greqs[ln]) == 0 {
 			c.used = append(c.used, ln)
@@ -834,29 +823,38 @@ func (c *serverConn) gather() uint64 {
 	return maxSeq
 }
 
+// awaitDurable is the worker's group-commit wait on seq, timed into the
+// ack histogram and span. A failure forces the run's trace.
+func (c *serverConn) awaitDurable(seq uint64) error {
+	var ackStart time.Time
+	if c.tel != nil {
+		ackStart = time.Now()
+	}
+	err := c.srv.gc.wait(seq)
+	if c.tel != nil {
+		d := time.Since(ackStart)
+		c.tel.ack.ObserveDuration(d)
+		c.noteSpan(span.StageAck, d)
+	}
+	if err != nil {
+		c.spanForce = true
+	}
+	return err
+}
+
 // waitDurable performs the run's single group-commit wait. On failure it
 // erases exactly the provisional ack tokens the lanes stamped, flipping
 // those writes to the failure's status: ERR for device failures (the log
 // could not honor them — DESIGN.md §10, wal_unacked_writes), UNCERTAIN
 // for a replication-ack timeout (durable locally, replication pending).
 func (c *serverConn) waitDurable(reqs []wire.Request, resps []wire.Response, maxSeq uint64) {
-	if maxSeq == 0 || c.srv.gc == nil {
+	if maxSeq == 0 {
 		return
 	}
-	var ackStart time.Time
-	if c.tel != nil {
-		ackStart = time.Now()
-	}
-	werr := c.srv.gc.wait(maxSeq)
-	if c.tel != nil {
-		d := time.Since(ackStart)
-		c.tel.ack.ObserveDuration(d)
-		c.noteSpan(span.StageAck, d)
-	}
+	werr := c.awaitDurable(maxSeq)
 	if werr == nil {
 		return
 	}
-	c.spanForce = true
 	status := wire.StatusOf(werr)
 	var flipped uint64
 	for i := range reqs {
@@ -888,113 +886,37 @@ func runHasWrites(reqs []wire.Request) bool {
 	return false
 }
 
-// execReadsOnly serves a run on a server that cannot take writes — a
-// follower (configured read-only serving) or a leader whose WAL device
-// failed (countDegraded). Reads still serve from the intact in-memory
-// engine; writes are refused without touching the engine. A follower
-// refuses with NOT_LEADER carrying the believed leader's address so a
-// resilient client can chase the redirect; a degraded leader answers ERR
-// as before.
-func (c *serverConn) execReadsOnly(reqs []wire.Request, countDegraded bool) []wire.Response {
-	if countDegraded {
-		c.srv.m.degraded.Add(1)
-	}
-	refusal := wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}
-	if !countDegraded {
-		if st := c.srv.cfg.Repl; st != nil && st.Role() == RoleFollower {
-			refusal = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusNotLeader, Redirect: st.LeaderAddr()}
-		}
-	}
-	resps := c.scratchResps(len(reqs))
-	for i := range reqs {
-		req := &reqs[i]
-		if !isRead(req.Op) {
-			resps[i] = refusal
-			continue
-		}
-		err := db.RunWithRetry(c.sess, c.srv.cfg.MaxRetries, func(tx db.Tx) error {
-			r, err := c.srv.execOp(tx, req)
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-			return nil
-		})
-		if err != nil {
-			resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusOf(err)}
-		}
-	}
-	c.countOps(reqs, resps)
-	return resps
-}
-
-// closeWAL releases the connection's WAL handle so its slot recycles;
-// anything still buffered drains into the log's next flush.
-func (c *serverConn) closeWAL() {
-	if c.wh != nil {
-		c.wh.Close()
-	}
-}
-
-// commitTS returns the engine commit timestamp of the worker's last
-// successful transaction. New() guarantees the session implements
-// db.CommitTS whenever durable mode is on.
-func (c *serverConn) commitTS() uint64 {
-	return c.sess.(db.CommitTS).LastCommitTS()
-}
-
-// walCommitWrites logs a committed transaction's write-set as one redo
-// record and blocks until it is durable, returning the logged timestamp —
-// the durability token stamped on the write acks. The encode buffer is the
-// worker's reusable scratch: wal.Handle.AppendAt copies the record, so the
-// buffer is free again the moment append returns.
-func (c *serverConn) walCommitWrites(writes []*wire.Request) (uint64, error) {
-	redo, err := AppendRedo(c.redoBuf[:0], writes)
-	if err != nil {
-		return 0, err
-	}
-	c.redoBuf = redo
-	if c.tel == nil {
-		return c.srv.gc.commit(c.wh, c.commitTS(), redo)
-	}
-	start := time.Now()
-	ts, err := c.srv.gc.commitTrace(c.wh, c.commitTS(), redo, uint64(c.spanTrace))
-	d := time.Since(start)
-	c.tel.ack.ObserveDuration(d)
-	c.noteSpan(span.StageAck, d)
-	return ts, err
-}
-
 // execTxn runs one TXN frame atomically. A TXN whose keys all hash to one
-// lane rides that lane like any batch; a TXN spanning lanes takes the
-// cross-shard path — the Ordo-merged read for read-only TXNs, the parked-
-// lane barrier for writes. On commit the response carries per-op results;
-// on failure the batch status stands alone (the client retries or surfaces
-// it — partial results would be unordered fiction). In durable mode the
-// whole TXN acks only after its write-set is durable; a WAL failure turns
-// the committed-but-unloggable TXN into one ERR.
+// lane rides that lane like any batch; a writing TXN spanning lanes runs
+// on its highest involved lane while the others are parked; a read-only
+// TXN spanning lanes takes the Ordo-merged read. On commit the response
+// carries per-op results; on failure the batch status stands alone (the
+// client retries or surfaces it — partial results would be unordered
+// fiction). In durable mode the whole TXN acks only after its write-set is
+// durable; a WAL failure turns the committed-but-unloggable TXN into one
+// ERR.
 func (c *serverConn) execTxn(req *wire.Request) wire.Response {
 	c.srv.m.txns.Add(1)
 	c.srv.m.txnOps.Add(uint64(len(req.Ops)))
-	if c.srv.ReadOnly() && txnHasWrites(req) {
-		if st := c.srv.cfg.Repl; st != nil && st.Role() == RoleFollower {
+	writes := txnHasWrites(req)
+	if writes {
+		if refusal, refused := c.writeRefusal(); refused {
 			// RespBatch cannot carry a redirect address; the NOT_LEADER
 			// status alone tells the client to re-resolve the leader.
-			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusNotLeader}
+			return wire.Response{Kind: wire.RespBatch, Status: refusal.Status}
 		}
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
 	}
-	if gc := c.srv.gc; gc != nil && gc.failed() != nil && txnHasWrites(req) {
-		c.srv.m.degraded.Add(1)
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
+	if c.txnLanes(req) >= 0 {
+		return c.execTxnLanes(req)
 	}
-	if single := c.txnLanes(req); single >= 0 {
-		return c.execTxnSingleLane(req, single)
+	if !writes {
+		return c.execTxnCrossRead(req)
 	}
-	if txnHasWrites(req) {
-		return c.execTxnCrossWrite(req)
-	}
-	return c.execTxnCrossRead(req)
+	c.srv.m.crossTxns.Add(1)
+	// Cross-shard transactions are always traced: they are the requests
+	// whose ordering story spans the most machinery.
+	c.forceTrace()
+	return c.execTxnLanes(req)
 }
 
 // txnLanes marks the lanes a TXN's keys route to in c.laneMark and returns
@@ -1024,36 +946,29 @@ func (c *serverConn) txnLanes(req *wire.Request) int {
 	return -1
 }
 
-// execTxnSingleLane runs a lane-confined TXN on its owning lane. The lane
-// appends the redo record without blocking; the worker waits here, and a
-// failed wait downgrades the whole TXN to one ERR — all-or-nothing ack.
-func (c *serverConn) execTxnSingleLane(req *wire.Request, lane int) wire.Response {
+// execTxnLanes runs a TXN atomically on the lanes marked in c.laneMark: the
+// highest-numbered involved lane executes it on its own session, logging
+// the whole write-set as ONE redo record on its own handle, while every
+// other involved lane is parked (runParked). The executor publishes the
+// commit timestamp on every involved board before the batch completes, so
+// by the time the parked lanes resume, no cross-shard read can take a
+// stable cut across this commit. The worker waits for durability only after
+// the release — safe because the record was appended before it, so any
+// flush covering a later dependent commit covers this one too — and a
+// failed wait downgrades the whole TXN to one ERR: all-or-nothing ack.
+func (c *serverConn) execTxnLanes(req *wire.Request) wire.Response {
 	var resp wire.Response
-	b := c.laneBatch(lane)
-	b.Kind = shard.Txn
 	treq := [1]*wire.Request{req}
 	tresp := [1]*wire.Response{&resp}
-	b.Reqs, b.Resps = treq[:], tresp[:]
-	if err := c.ports.Submit(lane, b); err != nil {
+	b, err := c.runParked(treq[:], tresp[:])
+	if err != nil {
 		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
 	}
-	b.Wait()
 	if b.Panicked {
 		c.laneFatal = true
 	}
 	if b.Seq != 0 {
-		var ackStart time.Time
-		if c.tel != nil {
-			ackStart = time.Now()
-		}
-		werr := c.srv.gc.wait(b.Seq)
-		if c.tel != nil {
-			d := time.Since(ackStart)
-			c.tel.ack.ObserveDuration(d)
-			c.noteSpan(span.StageAck, d)
-		}
-		if werr != nil {
-			c.spanForce = true
+		if werr := c.awaitDurable(b.Seq); werr != nil {
 			c.srv.m.walUnackedWrites.Add(uint64(b.WalWrites))
 			// ERR for device failure, UNCERTAIN for an ack timeout.
 			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(werr)}
@@ -1062,113 +977,46 @@ func (c *serverConn) execTxnSingleLane(req *wire.Request, lane int) wire.Respons
 	return resp
 }
 
-// parkInvolved submits a Hold barrier to every lane marked in c.laneMark
-// and waits until each is parked, returning the release function. While
-// parked a lane can commit nothing, so the coordinator's transaction on
-// the worker session sees and produces a state no lane write can tear.
-func (c *serverConn) parkInvolved() func() {
-	held := make([]*shard.Batch, 0, len(c.laneMark))
-	for ln, in := range c.laneMark {
-		if !in {
-			continue
-		}
-		h := shard.NewHold()
-		if c.ports.Submit(ln, h) != nil {
-			continue
-		}
-		held = append(held, h)
+// runParked parks every involved lane but the highest one at a Hold, one
+// at a time in ascending index order, then executes the TXN as a shard.Txn
+// batch on the highest involved lane and releases the parked lanes. Every
+// worker acquires lanes in this one global order and its executor comes
+// last, so a worker waiting on lane X holds only lanes below X and the
+// executor never waits on anything: no cycle can form, and no global lock
+// is needed. (Executing on the lowest lane instead can deadlock: {0,1,2}
+// parks 1 and waits for 2 while {1,2} parks 2 and executes on 1.) The
+// release is deferred so the parked lanes resume even if the worker panics.
+func (c *serverConn) runParked(reqs []*wire.Request, resps []*wire.Response) (*shard.Batch, error) {
+	exec := len(c.laneMark) - 1
+	for !c.laneMark[exec] {
+		exec--
 	}
-	for _, h := range held {
-		<-h.Parked
-	}
-	return func() {
+	var held []*shard.Batch
+	defer func() {
 		for _, h := range held {
 			close(h.Release)
 			h.Wait()
 		}
+	}()
+	for ln := 0; ln < exec; ln++ {
+		if !c.laneMark[ln] {
+			continue
+		}
+		h := shard.NewHold()
+		if err := c.ports.Submit(ln, h); err != nil {
+			return nil, err
+		}
+		held = append(held, h)
+		<-h.Parked
 	}
-}
-
-// execTxnCrossWrite coordinates a multi-lane writing TXN: park every
-// involved lane, execute atomically on the worker's own session (the
-// engine's concurrency control still backs it), log the whole write-set as
-// ONE redo record on the coordinator handle — split per-lane records could
-// replay a torn transfer after a crash — and publish the commit timestamp
-// onto every involved lane's board BEFORE releasing them, so a subsequent
-// cross-shard read's stability check cannot miss this commit.
-// Coordinators serialize on crossMu: overlapping lane subsets parked in
-// arbitrary order would deadlock otherwise.
-func (c *serverConn) execTxnCrossWrite(req *wire.Request) wire.Response {
-	srv := c.srv
-	srv.m.crossTxns.Add(1)
-	// Cross-shard transactions are always traced: they are the requests
-	// whose ordering story spans the most machinery.
-	c.forceTrace()
-	srv.crossMu.Lock()
-	defer srv.crossMu.Unlock()
-	release := c.parkInvolved()
-	defer release()
-
-	resps := make([]wire.Response, len(req.Ops))
-	err := db.RunWithRetry(c.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-		for i := range req.Ops {
-			r, err := srv.execOp(tx, &req.Ops[i])
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(err)}
+	b := c.laneBatch(exec)
+	b.Kind = shard.Txn
+	b.Reqs, b.Resps = reqs, resps
+	if err := c.ports.Submit(exec, b); err != nil {
+		return nil, err
 	}
-	if c.wh != nil {
-		writes := c.writePtrs[:0]
-		for i := range req.Ops {
-			if isWrite(req.Ops[i].Op) && resps[i].Status == wire.StatusOK {
-				writes = append(writes, &req.Ops[i])
-			}
-		}
-		c.writePtrs = writes
-		if len(writes) > 0 {
-			ts, werr := c.walCommitWrites(writes)
-			if werr != nil {
-				srv.m.walUnackedWrites.Add(uint64(len(writes)))
-				// ERR for device failure, UNCERTAIN for an ack timeout.
-				return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(werr)}
-			}
-			// The ack token rides the per-op sub-responses: RespBatch itself
-			// carries no TS on the wire.
-			for i := range req.Ops {
-				if isWrite(req.Ops[i].Op) && resps[i].Status == wire.StatusOK {
-					resps[i].TS = ts
-				}
-			}
-		}
-	}
-	if cs, ok := c.sess.(db.CommitTS); ok {
-		cts := cs.LastCommitTS()
-		for ln, in := range c.laneMark {
-			if in {
-				srv.lanes.Lane(ln).Publish(cts)
-			}
-		}
-		// Commit span at the commit timestamp itself when the node can
-		// convert engine ticks to the span clock's scale; the coordinator
-		// path has no lane span — the involved lanes were parked, not
-		// executing.
-		if c.spans != nil && c.spanN > 0 && c.spanN < len(c.spanBuf) {
-			now, unc := c.spans.Now()
-			ts := c.spans.ConvTicks(cts)
-			if ts == 0 {
-				ts = now
-			}
-			c.spanBuf[c.spanN] = span.Span{Stage: span.StageCommit, TS: ts, Unc: unc, Lane: -1}
-			c.spanN++
-		}
-	}
-	return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOK, Batch: resps}
+	b.Wait()
+	return b, nil
 }
 
 // crossReadAttempts bounds the optimistic passes of a cross-shard read
@@ -1188,7 +1036,8 @@ const crossReadAttempts = 3
 // NOT_YET (the paper's honest refusal — order is not yet decidable, the
 // client retries with the board timestamp in hand); definitely ordered
 // commits just mean we raced a writer, so retry optimistically, and after
-// crossReadAttempts fall back to parking the involved lanes.
+// crossReadAttempts fall back to the same parked-lane execution a
+// cross-shard write takes.
 func (c *serverConn) execTxnCrossRead(req *wire.Request) wire.Response {
 	srv := c.srv
 	srv.m.crossReads.Add(1)
@@ -1201,7 +1050,7 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request) wire.Response {
 	resps := make([]wire.Response, len(req.Ops))
 	for attempt := 0; attempt < crossReadAttempts; attempt++ {
 		c.tsV1 = srv.lanes.Published(c.tsV1)
-		c.scatter(req.Ops, resps)
+		c.scatter(req.Ops, resps, false)
 		c.submitGroups(shard.TxnRead)
 		var berr error
 		for _, b := range c.subm {
@@ -1246,26 +1095,9 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request) wire.Response {
 		}
 		srv.m.crossRetries.Add(1)
 	}
-	// Stable conflict pressure: take the pessimistic barrier and read on
-	// the worker session while the involved lanes are parked.
-	srv.crossMu.Lock()
-	defer srv.crossMu.Unlock()
-	release := c.parkInvolved()
-	defer release()
-	err := db.RunWithRetry(c.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-		for i := range req.Ops {
-			r, err := srv.execOp(tx, &req.Ops[i])
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(err)}
-	}
-	return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOK, Batch: resps}
+	// Stable conflict pressure: read on the highest involved lane while the
+	// others are parked.
+	return c.execTxnLanes(req)
 }
 
 // txnHasWrites reports whether a TXN frame contains any mutating sub-op.

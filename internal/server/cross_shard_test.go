@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -427,4 +430,437 @@ func xsReader(r int, faultAddr string, stop *atomic.Bool, okReads *atomic.Uint64
 		}
 	}
 	return nil
+}
+
+// Ordered-parking run shape: three lanes, one writer per lane subset of
+// size ≥ 2 ({0,1}, {0,2}, {1,2}, {0,1,2}), each moving money among accounts
+// it alone owns — two per lane of its subset — with TXNs that touch every
+// lane of the subset. Overlapping subsets make every pair of writers
+// contend for some lane, the shape that deadlocks if parking is not done
+// in one global order.
+const (
+	opLanes       = 3
+	opPerLane     = 2
+	opBalance     = 100
+	opTransfers   = 120
+	opHang        = 60 * time.Second
+	opClientHang  = 20 * time.Second
+	opDirectReads = 40
+)
+
+var opSubsets = [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 1, 2}}
+
+// opAccounts assigns each writer opPerLane keys on every lane of its subset,
+// found by routing ascending keys; accts[w][i] is writer w's i-th account.
+func opAccounts(srv *Server) [][]uint64 {
+	free := make([][]uint64, opLanes)
+	need := len(opSubsets) * opPerLane
+	for k := uint64(0); ; k++ {
+		ln := srv.lanes.Route(k)
+		if len(free[ln]) < need {
+			free[ln] = append(free[ln], k)
+		}
+		full := true
+		for _, f := range free {
+			full = full && len(f) == need
+		}
+		if full {
+			break
+		}
+	}
+	accts := make([][]uint64, len(opSubsets))
+	for w, sub := range opSubsets {
+		for _, ln := range sub {
+			accts[w] = append(accts[w], free[ln][:opPerLane]...)
+			free[ln] = free[ln][opPerLane:]
+		}
+	}
+	return accts
+}
+
+// opSweep builds a read-only TXN over keys.
+func opSweep(keys []uint64) *wire.Request {
+	ops := make([]wire.Request, len(keys))
+	for i, k := range keys {
+		ops[i] = wire.Request{Op: wire.OpGet, Key: k}
+	}
+	return &wire.Request{Op: wire.OpTxn, Ops: ops}
+}
+
+// opSum checks an OK sweep answer and returns the balances' total.
+func opSum(resp wire.Response, n int) (uint64, error) {
+	if resp.Status != wire.StatusOK || len(resp.Batch) != n {
+		return 0, fmt.Errorf("sweep answered %v with %d rows", resp.Status, len(resp.Batch))
+	}
+	var sum uint64
+	for i, sub := range resp.Batch {
+		if sub.Status != wire.StatusOK || len(sub.Row) != 1 {
+			return 0, fmt.Errorf("sweep row %d: %+v", i, sub)
+		}
+		sum += sub.Row[0]
+	}
+	return sum, nil
+}
+
+// TestCrossShardOrderedParkingNoDeadlock runs concurrent cross-shard write
+// TXNs over every pair of three lanes and the triple, with cross-shard
+// reads alongside — over the wire, and through the pessimistic fallback
+// (parked lanes, executed on the highest one) called directly on a
+// worker-less connection so that path runs on every pass. Nothing may hang
+// past the deadline, and money must be conserved in every live read, in the
+// drained engine, and in a replay of the drained WAL.
+func TestCrossShardOrderedParkingNoDeadlock(t *testing.T) {
+	defer requireNoGoroutineLeak(t)()
+	ordo := core.New(core.Hardware, 1000)
+	schema := db.Schema{Tables: []db.TableDef{{Name: "acct", Cols: 1}}}
+	engine, err := db.New(db.OCCOrdo, schema, ordo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir := t.TempDir()
+	dev, err := wal.OpenFile(walDir, wal.FileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ln, serveDone := startRawServer(t, Config{
+		DB:     engine,
+		Schema: schema,
+		Shards: opLanes,
+		Ordo:   ordo,
+		WAL:    wal.New(dev, nil),
+	})
+	addr := ln.Addr().String()
+	accts := opAccounts(srv)
+	dial := func() (net.Conn, *wire.Conn, error) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		nc.SetDeadline(time.Now().Add(opClientHang))
+		return nc, wire.NewConn(nc), nil
+	}
+
+	nc, c, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keys := range accts {
+		for _, k := range keys {
+			if resp, err := c.Do(&wire.Request{Op: wire.OpInsert, Key: k, Vals: []uint64{opBalance}}); err != nil || resp.Status != wire.StatusOK {
+				t.Fatalf("preload key %d: %+v, %v", k, resp, err)
+			}
+		}
+	}
+	nc.Close()
+
+	finals := make([][]uint64, len(accts))
+	var (
+		writersWg, readersWg sync.WaitGroup
+		stop                 atomic.Bool
+		okReads              atomic.Uint64
+		errs                 = make(chan error, len(accts)+3)
+	)
+	writer := func(w int) error {
+		nc, c, err := dial()
+		if err != nil {
+			return err
+		}
+		defer nc.Close()
+		keys := accts[w]
+		bal := make([]uint64, len(keys))
+		for i := range bal {
+			bal[i] = opBalance
+		}
+		finals[w] = bal
+		rng := uint64(w+1) * 0x9e3779b97f4a7c15
+		for done := 0; done < opTransfers; {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			// One account per lane of the subset; the first pays the rest.
+			var pick []int
+			for l := 0; l < len(keys)/opPerLane; l++ {
+				pick = append(pick, l*opPerLane+int(rng>>uint(l)%opPerLane))
+			}
+			amt := rng%5 + 1
+			if bal[pick[0]] < amt*uint64(len(pick)-1) {
+				amt = 0
+			}
+			next := make([]uint64, len(pick))
+			ops := make([]wire.Request, len(pick))
+			for j, i := range pick {
+				next[j] = bal[i] + amt
+				if j == 0 {
+					next[j] = bal[i] - amt*uint64(len(pick)-1)
+				}
+				ops[j] = wire.Request{Op: wire.OpPut, Key: keys[i], Vals: []uint64{next[j]}}
+			}
+			resp, err := c.Do(&wire.Request{Op: wire.OpTxn, Ops: ops})
+			if err != nil {
+				return err
+			}
+			switch resp.Status {
+			case wire.StatusOK:
+				for j, i := range pick {
+					bal[i] = next[j]
+				}
+				done++
+			case wire.StatusConflict, wire.StatusBusy:
+			default:
+				return fmt.Errorf("transfer answered %v", resp.Status)
+			}
+		}
+		return nil
+	}
+	check := func(w int, resp wire.Response) error {
+		sum, err := opSum(resp, len(accts[w]))
+		if err != nil {
+			return err
+		}
+		if want := uint64(len(accts[w]) * opBalance); sum != want {
+			return fmt.Errorf("torn transfer observed: writer %d accounts sum to %d, want %d", w, sum, want)
+		}
+		okReads.Add(1)
+		return nil
+	}
+	wireReader := func(r int) error {
+		nc, c, err := dial()
+		if err != nil {
+			return err
+		}
+		defer nc.Close()
+		for i := r; !stop.Load(); i++ {
+			w := i % len(accts)
+			resp, err := c.Do(opSweep(accts[w]))
+			if err != nil {
+				return err
+			}
+			switch resp.Status {
+			case wire.StatusNotYet, wire.StatusConflict, wire.StatusBusy:
+				continue
+			}
+			if err := check(w, resp); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// The fallback, driven directly: a connection with lane ports but no
+	// socket traffic, whose caller plays the worker goroutine.
+	directReader := func() error {
+		pc, peer := net.Pipe()
+		defer peer.Close()
+		dc := newServerConn(srv, pc)
+		defer dc.ports.Close()
+		for i := 0; i < opDirectReads || !stop.Load(); i++ {
+			w := i % len(accts)
+			req := opSweep(accts[w])
+			if dc.txnLanes(req) >= 0 {
+				return fmt.Errorf("writer %d's accounts fit one lane", w)
+			}
+			resp := dc.execTxnLanes(req)
+			if resp.Status == wire.StatusConflict {
+				continue
+			}
+			if err := check(w, resp); err != nil {
+				return fmt.Errorf("fallback read: %w", err)
+			}
+		}
+		return nil
+	}
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for w := range accts {
+			writersWg.Add(1)
+			go func(w int) {
+				defer writersWg.Done()
+				if err := writer(w); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+				}
+			}(w)
+		}
+		for r := 0; r < 2; r++ {
+			readersWg.Add(1)
+			go func(r int) {
+				defer readersWg.Done()
+				if err := wireReader(r); err != nil {
+					errs <- fmt.Errorf("reader %d: %w", r, err)
+				}
+			}(r)
+		}
+		readersWg.Add(1)
+		go func() {
+			defer readersWg.Done()
+			if err := directReader(); err != nil {
+				errs <- err
+			}
+		}()
+		writersWg.Wait()
+		stop.Store(true)
+		readersWg.Wait()
+	}()
+	select {
+	case <-finished:
+	case <-time.After(opHang):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("cross-shard TXNs hung past %v — lane parking deadlocked\n%s", opHang, buf[:runtime.Stack(buf, true)])
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if okReads.Load() == 0 {
+		t.Fatal("no cross-shard read ever succeeded — the invariant was never checked")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	snap := srv.Snapshot()
+	if snap.Panics != 0 {
+		t.Fatalf("panics: %d", snap.Panics)
+	}
+	if want := uint64(len(accts) * opTransfers); snap.CrossTxns < want {
+		t.Fatalf("cross_shard_txns=%d, want ≥ %d: some transfer fit one lane", snap.CrossTxns, want)
+	}
+
+	// The drained engine holds exactly every writer's cache; a replay of
+	// the drained log into a fresh engine holds the same conserved total.
+	sumBank := func(e db.DB, exact bool) (uint64, error) {
+		var total uint64
+		err := db.RunWithRetry(e.NewSession(), 3, func(tx db.Tx) error {
+			total = 0
+			for w, keys := range accts {
+				for i, k := range keys {
+					vals, err := tx.Read(0, k)
+					if err != nil {
+						return err
+					}
+					if exact && vals[0] != finals[w][i] {
+						return fmt.Errorf("account %d holds %d, writer %d cache says %d", k, vals[0], w, finals[w][i])
+					}
+					total += vals[0]
+				}
+			}
+			return nil
+		})
+		return total, err
+	}
+	var want uint64
+	for _, keys := range accts {
+		want += uint64(len(keys) * opBalance)
+	}
+	if total, err := sumBank(engine, true); err != nil || total != want {
+		t.Fatalf("drained engine: total %d (want %d), %v", total, want, err)
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := wal.Recover(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine2, err := db.New(db.OCCOrdo, schema, ordo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(engine2, recs); err != nil {
+		t.Fatal(err)
+	}
+	if total, err := sumBank(engine2, true); err != nil || total != want {
+		t.Fatalf("replayed log: total %d (want %d), %v", total, want, err)
+	}
+}
+
+// TestCrossShardExecutorPanic: an engine panic on the executing (highest)
+// lane of a three-lane TXN answers the submitting connection ERR and
+// closes it, counts exactly one panic, and releases both parked lanes — a
+// second connection's ops on every lane, and a fresh three-lane TXN, still
+// succeed, and no goroutine is left behind.
+func TestCrossShardExecutorPanic(t *testing.T) {
+	defer requireNoGoroutineLeak(t)()
+	f := &fakeDB{}
+	srv, ln, serveDone := startRawServer(t, Config{DB: f, Shards: 3})
+	laneKey := make([]uint64, 3)
+	for found, k := 0, uint64(1); found < 3; k++ {
+		if ln := srv.lanes.Route(k); laneKey[ln] == 0 {
+			laneKey[ln] = k
+			found++
+		}
+	}
+	f.mu.Lock()
+	f.panicKey, f.panicArmed = laneKey[2], true
+	f.mu.Unlock()
+	txn := func() *wire.Request {
+		ops := make([]wire.Request, len(laneKey))
+		for i, k := range laneKey {
+			ops[i] = wire.Request{Op: wire.OpPut, Key: k, Vals: []uint64{k}}
+		}
+		return &wire.Request{Op: wire.OpTxn, Ops: ops}
+	}
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	c := wire.NewConn(nc)
+	resp, err := c.Do(txn())
+	if err != nil {
+		t.Fatalf("poisoned TXN must still be answered: %v", err)
+	}
+	if resp.Status != wire.StatusErr {
+		t.Fatalf("poisoned TXN answered %v, want ERR", resp.Status)
+	}
+	if _, err := c.ReadResponse(); !errors.Is(err, io.EOF) {
+		t.Fatalf("poisoned connection must close, got %v", err)
+	}
+	if snap := srv.Snapshot(); snap.Panics != 1 {
+		t.Fatalf("panics=%d, want 1", snap.Panics)
+	}
+
+	f.mu.Lock()
+	f.panicArmed = false
+	f.mu.Unlock()
+	nc2, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc2.Close()
+	nc2.SetDeadline(time.Now().Add(10 * time.Second))
+	c2 := wire.NewConn(nc2)
+	for lane, k := range laneKey {
+		for _, req := range []*wire.Request{
+			{Op: wire.OpPut, Key: k, Vals: []uint64{1}},
+			{Op: wire.OpGet, Key: k},
+		} {
+			if resp, err := c2.Do(req); err != nil || resp.Status != wire.StatusOK {
+				t.Fatalf("lane %d %v after the panic: %+v, %v — a parked lane was never released", lane, req.Op, resp, err)
+			}
+		}
+	}
+	if resp, err := c2.Do(txn()); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("three-lane TXN after the panic: %+v, %v", resp, err)
+	}
+	if snap := srv.Snapshot(); snap.Panics != 1 || snap.CrossTxns != 2 {
+		t.Fatalf("panics=%d cross_shard_txns=%d, want 1/2", snap.Panics, snap.CrossTxns)
+	}
+	nc2.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
 }

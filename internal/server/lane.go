@@ -171,11 +171,14 @@ func (r *laneRunner) execOps(b *shard.Batch) {
 	}
 }
 
-// execTxn runs a TXN frame whose keys all route to this lane, atomically
-// on the lane session. The response goes through *b.Resps[0]; provisional
-// durability tokens ride the sub-responses and the worker downgrades the
-// whole TXN to ERR if the group-commit wait fails (same all-or-nothing ack
-// the pre-shard path had).
+// execTxn runs a TXN frame atomically on the lane session: either one
+// whose keys all route to this lane, or a multi-lane one for which this is
+// the highest involved lane and every other involved lane is parked behind
+// a Hold (serverConn.runParked). The response goes through *b.Resps[0].
+// The whole write-set is logged as ONE redo record on this lane's handle,
+// so recovery never replays half a transfer; provisional durability tokens
+// ride the sub-responses and the worker downgrades the whole TXN to ERR if
+// its group-commit wait fails.
 func (r *laneRunner) execTxn(b *shard.Batch) {
 	srv := r.srv
 	req, out := b.Reqs[0], b.Resps[0]
@@ -194,6 +197,7 @@ func (r *laneRunner) execTxn(b *shard.Batch) {
 		*out = wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(err)}
 		return
 	}
+	r.publishTxn(req)
 	if r.wh != nil {
 		writes := r.writePtrs[:0]
 		for i := range req.Ops {
@@ -222,7 +226,8 @@ func (r *laneRunner) execTxn(b *shard.Batch) {
 
 // execTxnRead runs one lane's slice of a cross-shard read-only TXN as a
 // single read-only engine transaction. Failures are batch-level (Err): the
-// coordinator owns atomicity, so partial per-op statuses would be fiction.
+// submitting worker merges the slices into one answer, so partial per-op
+// statuses would be fiction.
 func (r *laneRunner) execTxnRead(b *shard.Batch) {
 	srv := r.srv
 	b.Err = db.RunWithRetry(r.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
@@ -235,6 +240,26 @@ func (r *laneRunner) execTxnRead(b *shard.Batch) {
 		}
 		return nil
 	})
+}
+
+// publishTxn advances the publication board of every lane a committed
+// writing TXN touched to its commit timestamp. The lane's own board is
+// published by the shard fabric after exec returns; the other lanes of a
+// multi-lane TXN are parked while this runs, and the batch completes —
+// letting the worker release them — only after these stores, so no
+// cross-shard read can take a stable cut across the commit.
+func (r *laneRunner) publishTxn(req *wire.Request) {
+	cs, ok := r.sess.(db.CommitTS)
+	if !ok || !txnHasWrites(req) {
+		return
+	}
+	cts := cs.LastCommitTS()
+	lanes := r.srv.lanes
+	for i := range req.Ops {
+		if ln := lanes.Route(req.Ops[i].Key); ln != r.id {
+			lanes.Lane(ln).Publish(cts)
+		}
+	}
 }
 
 // walAppendRun logs a committed batch's acked write-set as one redo record
@@ -287,7 +312,7 @@ func (r *laneRunner) walAppend(writes []*wire.Request, trace uint64) (seq, ts ui
 	}
 	r.redoBuf = redo
 	cts := r.sess.(db.CommitTS).LastCommitTS()
-	seq, ts, err = r.srv.gc.appendTrace(r.wh, cts, redo, trace)
+	seq, ts, err = r.srv.gc.append(r.wh, cts, redo, trace)
 	if err == nil && trace != 0 {
 		if ring := r.srv.spanRing(); ring != nil {
 			now, unc := ring.Now()

@@ -7,12 +7,14 @@
 // The serving model is built around the paper's economics. Timestamp
 // allocation is the scalability bottleneck (§6.5), so the server amortizes
 // it: each connection has one reader goroutine and one worker goroutine,
-// and the worker folds a connection's pipelined simple ops into a single
-// engine transaction — one begin timestamp, one commit timestamp, one
-// validation — instead of one commit per op (see DESIGN.md §8 for why that
-// preserves the ordering argument). Responses flow back in request order
-// through a flushing buffered writer, so a pipelining client never pays a
-// syscall per op on either side.
+// and the worker scatters a connection's pipelined simple ops by key hash
+// onto single-writer shard lanes, each of which folds its slice into a
+// single engine transaction on its own session — one begin timestamp, one
+// commit timestamp, one validation — instead of one commit per op (see
+// DESIGN.md §8 and §14 for why that preserves the ordering argument). Every
+// engine transaction runs on a lane; connections own no engine session.
+// Responses flow back in request order through a flushing buffered writer,
+// so a pipelining client never pays a syscall per op on either side.
 //
 // Overload is handled by shedding, not queueing: each connection's pending
 // queue is bounded, and ops beyond the bound are answered with a typed BUSY
@@ -87,18 +89,18 @@ type Config struct {
 
 	// WriteTimeout bounds each response write and flush. A client that
 	// stops reading long enough for the kernel's send buffer to fill is
-	// evicted instead of parking the worker (and its engine session) on a
-	// blocked write. Zero disables write deadlines.
+	// evicted instead of parking the worker on a blocked write. Zero
+	// disables write deadlines.
 	WriteTimeout time.Duration
 
 	// Monitor, when set, contributes the clock-health snapshot to
 	// Snapshot(); the server does not start or stop it.
 	Monitor *health.Monitor
 
-	// WAL, when set, enables durable serving: committed write-sets append
-	// redo records to per-connection handles and responses are withheld
-	// until a group-commit flush covers the batch's commit timestamp. The
-	// engine must expose commit timestamps (db.CommitTS) — the OCC and
+	// WAL, when set, enables durable serving: each lane appends its
+	// committed write-sets as redo records to its own handle, and responses
+	// are withheld until a group-commit flush covers the append's durability
+	// sequence. The engine must expose commit timestamps (db.CommitTS) — the OCC and
 	// Hekaton families do; Silo and TicToc have no machine-wide commit
 	// point and cannot serve durably. The server owns flushing but not the
 	// underlying device: close the device after Shutdown returns.
@@ -179,15 +181,11 @@ type Server struct {
 	runners   []*laneRunner
 	lanesOnce sync.Once
 
-	// crossMu serializes cross-shard coordinators: overlapping lane subsets
-	// parked in arbitrary order would deadlock otherwise.
-	crossMu sync.Mutex
-
 	m metrics
 }
 
-// metrics is the server-wide counter set. Workers add deltas after every
-// execution unit, so reads are race-free and never touch live sessions.
+// metrics is the server-wide counter set. Lanes add session-counter deltas
+// after every batch, so reads are race-free and never touch live sessions.
 type metrics struct {
 	connsTotal  atomic.Uint64
 	connsActive atomic.Int64

@@ -525,3 +525,54 @@ func TestProtocolErrorAnswersThenCloses(t *testing.T) {
 		t.Fatal("protocol error not counted")
 	}
 }
+
+// TestReadOnlyMixedRunScattersOnlyReads: a pipelined run mixing writes
+// into a read-only server answers each write ERR in place, in request
+// order, without the engine ever seeing it, while the reads still run on
+// their lanes. Configured read-only serving is not degradation.
+func TestReadOnlyMixedRunScattersOnlyReads(t *testing.T) {
+	f := &fakeDB{}
+	ts, cleanup := startServer(t, Config{DB: f, Shards: 2, ReadOnly: true})
+	defer cleanup()
+	reqs := []wire.Request{
+		{Op: wire.OpGet, Key: 1},
+		{Op: wire.OpPut, Key: 2, Vals: []uint64{7}},
+		{Op: wire.OpGet, Key: 3},
+		{Op: wire.OpDelete, Key: 4},
+		{Op: wire.OpGet, Key: 5},
+	}
+	for i := range reqs {
+		if err := ts.c.WriteRequest(&reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ts.c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range reqs {
+		resp, err := ts.c.ReadResponse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reqs[i].Op == wire.OpGet {
+			if resp.Status != wire.StatusOK || len(resp.Row) == 0 || resp.Row[0] != reqs[i].Key*10 {
+				t.Fatalf("op %d GET %d: %+v", i, reqs[i].Key, resp)
+			}
+		} else if resp.Status != wire.StatusErr {
+			t.Fatalf("op %d %v on a read-only server: %v, want ERR", i, reqs[i].Op, resp.Status)
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, k := range f.executed {
+		if k == 2 || k == 4 {
+			t.Fatalf("refused write on key %d reached the engine (executed %v)", k, f.executed)
+		}
+	}
+	if len(f.executed) != 3 {
+		t.Fatalf("engine executed keys %v, want the three reads", f.executed)
+	}
+	if snap := ts.srv.Snapshot(); snap.Degraded != 0 {
+		t.Fatalf("degraded=%d, want 0 for configured read-only serving", snap.Degraded)
+	}
+}

@@ -208,7 +208,7 @@ func (t *Telemetry) bind(s *Server) error {
 		reg.GaugeFunc("ordod_shard_queue_depth", "Batches queued in this lane's rings.",
 			func() float64 { return float64(ln.Queued()) }, lbl)
 	}
-	reg.CounterFunc("ordod_cross_shard_txns_total", "Write TXNs that spanned lanes (coordinator path).", m.crossTxns.Load)
+	reg.CounterFunc("ordod_cross_shard_txns_total", "Write TXNs that spanned lanes (run on the highest involved lane).", m.crossTxns.Load)
 	reg.CounterFunc("ordod_cross_shard_reads_total", "Read-only TXNs merged across lanes with cmp_time.", m.crossReads.Load)
 	reg.CounterFunc("ordod_cross_shard_retries_total", "Cross-shard read passes retried after a definitely-ordered interfering commit.", m.crossRetries.Load)
 	reg.CounterFunc("ordod_cross_shard_not_yet_total", "Cross-shard reads refused with NOT_YET inside the uncertainty window.", m.crossNotYet.Load)

@@ -36,22 +36,22 @@ const replAckPoll = 25 * time.Millisecond
 // lets connection workers block until a flush has covered their own append
 // (DESIGN.md §10).
 //
-// A committed batch's write-set is encoded as one redo record, appended to
-// the connection's WAL handle at the engine's own commit timestamp (so
-// replay order matches commit order machine-wide), and the responses are
-// withheld until a flush covers that append. Many connections' commits
-// ride one flush: while a flush's fsync is in flight, appends accumulate
-// and the next flush covers them all — group commit emerges from the
-// device latency itself, with no batching timer.
+// A committed batch's write-set is encoded as one redo record, appended by
+// the lane that committed it to that lane's WAL handle at the engine's own
+// commit timestamp (so replay order matches commit order machine-wide), and
+// the submitting worker withholds the responses until a flush covers that
+// append. Many lanes' commits ride one flush: while a flush's fsync is in
+// flight, appends accumulate and the next flush covers them all — group
+// commit emerges from the device latency itself, with no batching timer.
 //
 // Durability is tracked per append, not by timestamp. append assigns each
 // record a dense sequence number under gc.mu strictly after the record
 // lands in its handle buffer, and flushOnce snapshots the latest assigned
 // sequence before invoking Flush — so "durableSeq covers my seq" proves my
 // record was in a buffer when a successful flush drained them. A timestamp
-// high-water mark cannot prove that: a worker descheduled between engine
+// high-water mark cannot prove that: a lane descheduled between engine
 // commit (cts=T) and its append would see the horizon pass T on the back
-// of other connections' commits and ack while its record was still
+// of other lanes' commits and ack while its record was still
 // buffered, losing an acknowledged write on crash (same-handle timestamp
 // ties from AppendAt clamping open the same hole).
 //
@@ -119,42 +119,19 @@ func (gc *groupCommitter) failed() error {
 	return gc.err
 }
 
-// commit appends one redo record at the engine commit timestamp and blocks
-// until a flush has covered it. It returns the timestamp the record was
-// actually logged at (AppendAt may clamp cts up to the handle watermark) —
-// the durability token a write ack carries so a client can later demand
-// read-your-writes from a replica. Any error means the write must not be
-// acknowledged.
-func (gc *groupCommitter) commit(h *wal.Handle, cts uint64, redo []byte) (uint64, error) {
-	return gc.commitTrace(h, cts, redo, 0)
-}
-
-// commitTrace is commit with a sampled trace ID stamped on the record.
-func (gc *groupCommitter) commitTrace(h *wal.Handle, cts uint64, redo []byte, trace uint64) (uint64, error) {
-	seq, ts, err := gc.appendTrace(h, cts, redo, trace)
-	if err != nil {
-		return 0, err
-	}
-	return ts, gc.wait(seq)
-}
+// tracedAppend pairs a durability sequence with the trace ID riding it.
+type tracedAppend struct{ seq, trace uint64 }
 
 // append buffers one redo record at the engine commit timestamp (the
 // handle may clamp cts up to its watermark; the recorded timestamp is the
 // replay order) and wakes the flusher. It returns the record's durability
 // sequence, which is what wait must cover — assigned only after the record
 // is in its handle buffer, so a flush draining after the assignment is
-// guaranteed to carry it — and the recorded timestamp.
-func (gc *groupCommitter) append(h *wal.Handle, cts uint64, redo []byte) (uint64, uint64, error) {
-	return gc.appendTrace(h, cts, redo, 0)
-}
-
-// tracedAppend pairs a durability sequence with the trace ID riding it.
-type tracedAppend struct{ seq, trace uint64 }
-
-// appendTrace is append with a sampled trace ID: the record carries it to
-// the replication source, and the covering flush emits this trace's fsync
-// span.
-func (gc *groupCommitter) appendTrace(h *wal.Handle, cts uint64, redo []byte, trace uint64) (uint64, uint64, error) {
+// guaranteed to carry it — and the recorded timestamp, the durability
+// token a write ack carries so a client can later demand read-your-writes
+// from a replica. A nonzero trace rides the record to the replication
+// source, and the covering flush emits this trace's fsync span.
+func (gc *groupCommitter) append(h *wal.Handle, cts uint64, redo []byte, trace uint64) (uint64, uint64, error) {
 	gc.mu.Lock()
 	if gc.err != nil {
 		err := gc.err

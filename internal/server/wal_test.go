@@ -338,7 +338,7 @@ func TestGroupCommitAckRequiresOwnFlush(t *testing.T) {
 	hA, hB := log.NewHandle(), log.NewHandle()
 
 	// Connection B commits at cts=200, appends, and its flush completes.
-	seqB, _, err := gc.append(hB, 200, []byte("b"))
+	seqB, _, err := gc.append(hB, 200, []byte("b"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestGroupCommitAckRequiresOwnFlush(t *testing.T) {
 
 	// Connection A committed earlier (cts=100) but its worker only now runs
 	// the append: the record is buffered, nothing covering it has flushed.
-	seqA, _, err := gc.append(hA, 100, []byte("a"))
+	seqA, _, err := gc.append(hA, 100, []byte("a"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

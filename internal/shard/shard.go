@@ -39,17 +39,19 @@ type Kind uint8
 const (
 	// Ops is a run of simple ops: Reqs[i]'s result lands in *Resps[i].
 	Ops Kind = iota
-	// Txn is an atomic transaction whose keys all route to this lane:
-	// Reqs[0] is the TXN frame, *Resps[0] receives the batch response.
+	// Txn is an atomic transaction executed on this lane's session: Reqs[0]
+	// is the TXN frame, *Resps[0] receives the batch response. Its keys
+	// either all route to this lane, or this is the highest lane the TXN
+	// touches and the submitter holds every other one parked.
 	Txn
 	// TxnRead is one lane's slice of a cross-shard read-only transaction:
 	// executed as a single read-only engine transaction, no WAL, and not
-	// counted as a batch (the coordinator owns the transaction accounting).
+	// counted as a batch (the submitter owns the transaction accounting).
 	TxnRead
 	// Hold parks the lane: it closes Parked, waits for Release, and only
-	// then continues. The cross-shard write path uses it as a barrier —
-	// while every involved lane is parked, nothing can commit into the
-	// partitions a multi-key transaction spans.
+	// then continues. A multi-lane transaction uses it as a barrier — while
+	// every other involved lane is parked, nothing but the executing lane
+	// can commit into the partitions the transaction spans.
 	Hold
 )
 
@@ -85,7 +87,7 @@ type Batch struct {
 	Panicked bool
 
 	// Hold rendezvous: the lane closes Parked once it is idle at the
-	// barrier, then blocks until the coordinator closes Release.
+	// barrier, then blocks until the submitter closes Release.
 	Parked  chan struct{}
 	Release chan struct{}
 
@@ -193,8 +195,8 @@ func (l *Lane) ID() int { return l.id }
 func (l *Lane) Published() uint64 { return l.published.Load() }
 
 // Publish advances the publication board to ts (CAS-max; never regresses).
-// The cross-shard coordinator calls it for multi-lane commits; lanes call
-// it for their own.
+// The executing lane of a multi-lane transaction calls it for the other
+// lanes involved; every lane calls it for its own commits.
 func (l *Lane) Publish(ts uint64) {
 	for {
 		cur := l.published.Load()
