@@ -1,6 +1,9 @@
 package rlu
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // Object is an RLU-protected value of type T. Readers access it through
 // Dereference inside a critical section; writers lock it with TryLock,
@@ -30,7 +33,8 @@ func NewObject[T any](v T) *Object[T] { return &Object[T]{data: v} }
 // Dereference returns the version of o visible to t's current critical
 // section: the original object, the thread's own working copy, or a
 // committed copy stolen from another writer whose commit t's clock cannot
-// place before its own section start.
+// place before its own section start. While the owner is taking its
+// commit clock, Dereference waits for the clock to be published.
 //
 // The returned pointer must not be retained past ReaderUnlock, and must
 // not be written through — use TryLock for writes.
@@ -43,6 +47,14 @@ func Dereference[T any](t *Thread, o *Object[T]) *T {
 		return &c.data
 	}
 	wc := c.owner.writeClock.Load()
+	for spins := 1; wc == committing; spins++ {
+		// The owner is taking its commit clock: one Add or one new_time
+		// spin, with no wait on anyone, so this cannot deadlock.
+		if spins%128 == 0 {
+			runtime.Gosched()
+		}
+		wc = c.owner.writeClock.Load()
+	}
 	before, unc := t.d.ord.certainlyBefore(t.localClock.Load(), wc)
 	t.countCmp(unc)
 	if before {

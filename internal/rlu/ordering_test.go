@@ -74,7 +74,8 @@ func TestOrdoOrderingRules(t *testing.T) {
 
 // TestNegativeSkewSnapshotHazard is the §4.1 hazard ablation. Setting:
 // boundary B bounds the physical skew. A writer commits with
-// writeClock = new_time(local + B) > local + 2B. Any reader that begins
+// writeClock = new_time(t + B) > t + 2B, where t is a clock read taken
+// after the writer stored its committing marker. Any reader that begins
 // AFTER the commit's real time reads a clock value r >= writeClock - B
 // (its clock lags by at most the physical skew <= B, and new_time's
 // return was at the commit's real time on the writer's clock).

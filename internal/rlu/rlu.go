@@ -15,12 +15,30 @@
 // clock interface here:
 //
 //   - reader lock records get_time() instead of loading the global clock;
-//   - commit obtains new_time(localClock + boundary) instead of
-//     fetch_and_add (the extra boundary guards the single-version snapshot
-//     against negative skew between the committer and a stealing reader);
+//   - commit obtains new_time(t + boundary) instead of fetch_and_add, where
+//     t is a clock read taken after the commit marker (below) is stored;
 //   - the steal check and the quiescence loop compare clocks with
-//     cmp_time(), treating "uncertain" conservatively (no steal / keep
-//     waiting).
+//     cmp_time(). Uncertain is treated conservatively on both sides: a
+//     reader reads the original object only when its clock is certainly
+//     before the owner's commit and steals the copy otherwise, and a
+//     committing writer keeps waiting for a reader that is not certainly
+//     after its commit.
+//
+// Commit rule. A writer first stores the committing marker in its
+// writeClock, then takes its commit clock, then publishes it; Dereference
+// waits while an owner's writeClock is committing. Every reader that saw
+// the owner inactive therefore took its section clock before the marker,
+// and so before the commit clock was taken. A reader that later meets a
+// second object of the same log must read that original too, never the
+// copy, or it would see half a commit. Under the logical clock the commit
+// clock is a fetch-and-add taken after the marker, so it exceeds such a
+// reader's clock. Under Ordo the reader's clock may run ahead of the
+// writer's read t by up to one boundary B, and the steal check reads the
+// original only when the reader's clock is more than B before the commit
+// clock; new_time(t + B) returns more than t + 2B, which covers both. Taking
+// t from the section start instead leaves the commit clock within 2B of
+// the moment it became visible, and a fast reader that had seen the owner
+// inactive would steal the other object's copy.
 //
 // Unlike the C implementation, copies live on the garbage-collected heap,
 // so the original's two-generation write-log recycling is unnecessary:
@@ -36,9 +54,14 @@ import (
 	"ordo/internal/core"
 )
 
-// inactive marks a thread's writeClock when it has no commit in flight;
-// no reader can consider stealing from it.
-const inactive = math.MaxUint64
+const (
+	// inactive marks a thread's writeClock when it has no commit in flight;
+	// no reader can consider stealing from it.
+	inactive = math.MaxUint64
+	// committing marks a thread's writeClock while it takes its commit
+	// clock; Dereference waits until the clock is published.
+	committing = math.MaxUint64 - 1
+)
 
 // ordering abstracts the two clock designs. The comparison methods also
 // report whether the outcome was uncertain — always false for the exact
@@ -48,7 +71,9 @@ type ordering interface {
 	// readClock returns the value a beginning operation records.
 	readClock() uint64
 	// commitClock returns the writer's publication timestamp, advancing
-	// the global clock in the logical design.
+	// the global clock in the logical design. It is called after the
+	// committing marker is stored, and the timestamp must exceed, with
+	// certainty, every clock read taken before that store.
 	commitClock(localClock uint64) uint64
 	// certainlyAfter reports a > b with certainty (quiescence check).
 	certainlyAfter(a, b uint64) (after, uncertain bool)
@@ -84,9 +109,13 @@ type ordoClock struct{ o *core.Ordo }
 
 func (c ordoClock) readClock() uint64 { return uint64(c.o.GetTime()) }
 func (c ordoClock) commitClock(localClock uint64) uint64 {
-	// One extra boundary separates the new snapshot from the old even if
-	// the stealing reader's clock lags the committer's by a full skew.
-	return uint64(c.o.NewTime(core.Time(localClock) + c.o.Boundary()))
+	// t is read after the committing marker, so every reader that saw the
+	// owner inactive took its clock at most one boundary after t; the extra
+	// boundary puts the commit certainly after all of them (package doc).
+	// localClock keeps the result above local + 2B even when t was read on
+	// a core whose clock lags the section start's.
+	t := max(localClock, uint64(c.o.GetTime()))
+	return uint64(c.o.NewTime(core.Time(t) + c.o.Boundary()))
 }
 func (c ordoClock) certainlyAfter(a, b uint64) (bool, bool) {
 	if b == inactive {
@@ -283,6 +312,9 @@ func (t *Thread) commitWriteLog() {
 		t.isWriter = false
 		return
 	}
+	// The marker goes first: a reader that starts once the commit clock is
+	// taken must not see this thread inactive (package doc, commit rule).
+	t.writeClock.Store(committing)
 	t.writeClock.Store(t.d.ord.commitClock(t.localClock.Load()))
 	t.synchronize()
 	for _, e := range t.log {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ordo/internal/core"
 )
@@ -189,6 +190,57 @@ func TestMultiObjectCommitIsAtomic(t *testing.T) {
 				t.Fatalf("final state a=%d b=%d, want %d/%d",
 					va, vb, 50+writers*iters, 50-writers*iters)
 			}
+		})
+	}
+}
+
+// TestDereferenceWaitsForCommitClock pins the commit rule without relying
+// on a lucky interleaving: a reader whose clock is already at or after the
+// owner's commit clock must not read the original while the owner is
+// committing, and must get the owner's copy once the clock is published.
+func TestDereferenceWaitsForCommitClock(t *testing.T) {
+	for name, d := range domains(t) {
+		t.Run(name, func(t *testing.T) {
+			writer := d.RegisterThread()
+			reader := d.RegisterThread()
+			obj := NewObject(1)
+
+			writer.ReaderLock()
+			p, ok := TryLock(writer, obj)
+			if !ok {
+				t.Fatal("TryLock failed with no contention")
+			}
+			*p = 2
+			// The first half of commitWriteLog, held open: marker stored,
+			// commit clock taken but not yet published.
+			writer.runCount.Add(1)
+			writer.writeClock.Store(committing)
+			wc := d.ord.commitClock(writer.localClock.Load())
+
+			reader.ReaderLock() // clock read after the commit clock was taken
+			if before, _ := d.ord.certainlyBefore(reader.localClock.Load(), wc); before {
+				t.Fatalf("reader clock %d certainly before commit clock %d", reader.localClock.Load(), wc)
+			}
+			got := make(chan int, 1)
+			go func() { got <- *Dereference(reader, obj) }()
+			select {
+			case v := <-got:
+				t.Fatalf("Dereference returned %d while the owner was committing", v)
+			case <-time.After(50 * time.Millisecond):
+			}
+
+			writer.writeClock.Store(wc)
+			if v := <-got; v != 2 {
+				t.Fatalf("Dereference after publication = %d, want the copy's 2", v)
+			}
+			reader.ReaderUnlock()
+
+			writer.commitWriteLog() // a fresh commit of the same log
+			reader.ReaderLock()
+			if v := *Dereference(reader, obj); v != 2 || obj.IsLocked() {
+				t.Fatalf("after commit: value %d, locked %v; want 2, false", v, obj.IsLocked())
+			}
+			reader.ReaderUnlock()
 		})
 	}
 }
